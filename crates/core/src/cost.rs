@@ -13,9 +13,10 @@ use uerl_trace::types::SimTime;
 /// restartable and a mitigation happened after that start — the last mitigation. With
 /// no job running at `t`, nothing can be lost: `(0.0, 1)`.
 ///
-/// This is the **single** implementation of the reference-point rule: the offline
-/// environment (`MitigationEnv`) and the online serving sessions both call it, which is
-/// what keeps served costs bit-identical to evaluated ones by construction.
+/// This is the **single** implementation of the reference-point rule: every cost lane
+/// of a [`crate::session_core::NodeSession`] — which training, evaluation and serving
+/// all run — calls it, which is what keeps served costs bit-identical to evaluated
+/// ones by construction.
 pub fn potential_cost_at(
     jobs: &JobSequence,
     last_mitigation: Option<SimTime>,

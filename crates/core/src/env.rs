@@ -1,16 +1,12 @@
-//! The mitigation environment: replaying a node's event timeline against a job sequence.
+//! The mitigation environment: a pull-mode cursor over a node's event timeline.
 //!
-//! The environment owns the MDP mechanics of Section 3.2:
-//!
-//! * the agent is invoked at every (per-minute merged, non-fatal) event of the node;
-//! * the state combines the error-log features with the potential UE cost of the
-//!   currently running job (Equation 3), where the cost reference point is the job start
-//!   or — when mitigations are restartable — the last mitigation;
-//! * choosing the mitigation action immediately pays the mitigation cost and resets the
-//!   cost reference point;
-//! * when the next event is fatal (uncorrected error or critical over-temperature), the
-//!   full cost accrued between the last mitigation and the UE timestamp is lost, and the
-//!   reward of the last action reflects it (Equation 4).
+//! The MDP mechanics of Section 3.2 live in [`NodeSession`]: the agent is invoked at
+//! every (per-minute merged, non-fatal) event, the state carries the potential UE cost
+//! of the running job (Equation 3), a mitigation pays its cost and resets the cost
+//! reference point, and a fatal event loses the cost accrued since that point. The
+//! environment only walks a timeline, pushes each event into its session, and turns
+//! the session's cost delta between two decision points into the Equation 4 reward of
+//! the action just taken.
 //!
 //! The same environment serves training and evaluation. Training episodes terminate at
 //! the first fatal event (`terminate_on_fatal = true`); evaluation rollouts continue
@@ -20,13 +16,9 @@
 use crate::config::MitigationConfig;
 use crate::cost;
 use crate::event_stream::NodeTimeline;
-use crate::features::FeatureExtractor;
-use crate::session_core::{RecordRetention, SessionCore};
+use crate::session_core::{NodeSession, Observed, RecordRetention};
 use crate::state::StateFeatures;
 use uerl_jobs::schedule::JobSequence;
-use uerl_trace::types::SimTime;
-
-pub use crate::session_core::UeRecord;
 
 /// The result of one environment step.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,17 +41,11 @@ pub struct StepOutcome {
 #[derive(Debug, Clone)]
 pub struct MitigationEnv {
     timeline: NodeTimeline,
-    terminate_on_fatal: bool,
-
-    extractor: FeatureExtractor,
     idx: usize,
     started: bool,
     done: bool,
-
-    /// The shared accounting state — the same type the push-mode serving session
-    /// wraps, so the parity-critical rules (cost reference point, fatal accounting,
-    /// decision bookkeeping) live in exactly one place.
-    core: SessionCore,
+    terminate_on_fatal: bool,
+    session: NodeSession,
 }
 
 impl MitigationEnv {
@@ -94,74 +80,32 @@ impl MitigationEnv {
         terminate_on_fatal: bool,
         retention: RecordRetention,
     ) -> Self {
-        let extractor = FeatureExtractor::new(timeline.node(), timeline.window_start());
+        let session = NodeSession::with_jobs(
+            timeline.node(),
+            timeline.window_start(),
+            jobs,
+            config,
+            retention,
+        );
         Self {
             timeline,
-            terminate_on_fatal,
-            extractor,
             idx: 0,
             started: false,
             done: false,
-            core: SessionCore::new(jobs, config, retention),
+            terminate_on_fatal,
+            session,
         }
     }
 
-    /// The mitigation configuration.
-    pub fn config(&self) -> &MitigationConfig {
-        self.core.config()
+    /// The node session the environment drives: configuration, cost account and
+    /// feature state.
+    pub fn session(&self) -> &NodeSession {
+        &self.session
     }
 
     /// Whether the episode has finished.
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Decisions made so far (mitigations plus "do nothing"s).
-    pub fn decision_count(&self) -> u64 {
-        self.core.decision_count()
-    }
-
-    /// Number of mitigation actions taken.
-    pub fn mitigation_count(&self) -> u64 {
-        self.core.mitigation_count()
-    }
-
-    /// Number of "do nothing" decisions taken (kept as a counter, so it is available
-    /// under totals-only retention too).
-    pub fn non_mitigation_count(&self) -> u64 {
-        self.core.non_mitigation_count()
-    }
-
-    /// Node-hours spent on mitigation actions.
-    pub fn total_mitigation_cost(&self) -> f64 {
-        self.core.total_mitigation_cost()
-    }
-
-    /// Number of fatal events accounted.
-    pub fn ue_count(&self) -> u64 {
-        self.core.ue_count()
-    }
-
-    /// Node-hours lost to fatal events.
-    pub fn total_ue_cost(&self) -> f64 {
-        self.core.total_ue_cost()
-    }
-
-    /// Total cost: UE cost plus mitigation cost.
-    pub fn total_cost(&self) -> f64 {
-        self.core.total_cost()
-    }
-
-    /// Every decision made so far: `(event time, mitigated)` (empty under
-    /// [`RecordRetention::TotalsOnly`]).
-    pub fn decisions(&self) -> &[(SimTime, bool)] {
-        self.core.decisions()
-    }
-
-    /// Every fatal event accounted so far (empty under
-    /// [`RecordRetention::TotalsOnly`]).
-    pub fn ue_records(&self) -> &[UeRecord] {
-        self.core.ue_records()
     }
 
     /// Start (or restart) the episode and return the first decision point's state, or
@@ -173,33 +117,19 @@ impl MitigationEnv {
         self.advance_to_decision_point()
     }
 
-    /// Advance `idx` to the next non-fatal event, accounting any fatal events on the way.
-    /// Returns the state at that event, or `None` (and sets `done`) if the timeline ends
-    /// or a fatal event terminates the episode.
+    /// Push events into the session until one asks for a decision, and return its
+    /// state; fatal events on the way are accounted by the session. Returns `None` (and
+    /// sets `done`) if the timeline ends or a fatal event terminates the episode.
     fn advance_to_decision_point(&mut self) -> Option<StateFeatures> {
-        loop {
-            if self.idx >= self.timeline.len() {
-                self.done = true;
-                return None;
+        while let Some(event) = self.timeline.events().get(self.idx) {
+            match self.session.observe(event) {
+                Observed::Request(state) => return Some(state),
+                Observed::Fatal { .. } if self.terminate_on_fatal => break,
+                Observed::Fatal { .. } => self.idx += 1,
             }
-            let event = self.timeline.events()[self.idx].clone();
-            if event.fatal {
-                // Accounted-then-cleared: the node is pulled from production and
-                // returns later with fresh jobs, so the mitigation point no longer
-                // applies (the core clears it after paying the cost).
-                self.core.account_fatal(event.time);
-                if self.terminate_on_fatal {
-                    self.done = true;
-                    return None;
-                }
-                self.extractor.update(&event);
-                self.idx += 1;
-                continue;
-            }
-            self.extractor.update(&event);
-            let (potential, job_nodes) = self.core.potential_cost_at(event.time);
-            return Some(self.extractor.snapshot(potential, job_nodes));
         }
+        self.done = true;
+        None
     }
 
     /// Apply the policy's action at the current decision point and advance to the next.
@@ -210,18 +140,18 @@ impl MitigationEnv {
         assert!(self.started, "call reset() before step()");
         assert!(!self.done, "the episode is over");
         let now = self.timeline.events()[self.idx].time;
-        let mitigation_cost = self.core.apply_decision(now, mitigate);
+        let mitigation_cost = self.session.apply_decision(now, mitigate);
 
-        let ue_cost_before = self.core.total_ue_cost();
-        let ue_count_before = self.core.ue_count();
+        let ue_cost_before = self.session.account().total_ue_cost();
+        let ue_count_before = self.session.account().ue_count();
         self.idx += 1;
         let next_state = self.advance_to_decision_point();
-        let ue_cost = self.core.total_ue_cost() - ue_cost_before;
-        let ue_occurred = self.core.ue_count() > ue_count_before;
+        let ue_cost = self.session.account().total_ue_cost() - ue_cost_before;
+        let ue_occurred = self.session.account().ue_count() > ue_count_before;
 
         let reward = cost::reward(
             mitigate,
-            self.core.config().mitigation_cost_node_hours(),
+            self.session.config().mitigation_cost_node_hours(),
             ue_occurred,
             ue_cost,
         );
@@ -241,7 +171,7 @@ mod tests {
     use super::*;
     use uerl_jobs::schedule::ScheduledJob;
     use uerl_trace::log::MergedEvent;
-    use uerl_trace::types::NodeId;
+    use uerl_trace::types::{NodeId, SimTime};
 
     const NODE: NodeId = NodeId(7);
 
@@ -293,8 +223,10 @@ mod tests {
         assert!(out.ue_occurred);
         assert!((out.ue_cost - 160.0).abs() < 1e-9);
         assert!((out.reward + 160.0).abs() < 1e-9);
-        assert_eq!(env.mitigation_count(), 0);
-        assert!((env.total_cost() - 160.0).abs() < 1e-9);
+        let account = env.session().account();
+        assert_eq!(account.mitigation_count(), 0);
+        let total_cost = account.total_ue_cost() + account.total_mitigation_cost();
+        assert!((total_cost - 160.0).abs() < 1e-9);
     }
 
     #[test]
@@ -310,8 +242,10 @@ mod tests {
         let mit_cost = 2.0 / 60.0;
         assert!((out.mitigation_cost - mit_cost).abs() < 1e-12);
         assert!((out.reward + 144.0 + mit_cost).abs() < 1e-9);
-        assert!((env.total_cost() - 144.0 - mit_cost).abs() < 1e-9);
-        assert_eq!(env.mitigation_count(), 1);
+        let account = env.session().account();
+        let total_cost = account.total_ue_cost() + account.total_mitigation_cost();
+        assert!((total_cost - 144.0 - mit_cost).abs() < 1e-9);
+        assert_eq!(account.mitigation_count(), 1);
     }
 
     #[test]
@@ -341,7 +275,7 @@ mod tests {
         let end = env.step(false);
         assert!(end.done);
         assert!(!end.ue_occurred);
-        assert_eq!(env.ue_count(), 0);
+        assert_eq!(env.session().account().ue_count(), 0);
     }
 
     #[test]
@@ -351,9 +285,9 @@ mod tests {
         let mut env = MitigationEnv::new(tl, one_big_job(), config(), true);
         assert!(env.reset().is_none());
         assert!(env.is_done());
-        assert_eq!(env.ue_count(), 1);
-        assert!((env.total_ue_cost() - 160.0).abs() < 1e-9);
-        assert!(env.decisions().is_empty());
+        assert_eq!(env.session().account().ue_count(), 1);
+        assert!((env.session().account().total_ue_cost() - 160.0).abs() < 1e-9);
+        assert!(env.session().account().decisions().is_empty());
     }
 
     #[test]
@@ -375,11 +309,11 @@ mod tests {
             steps += 1;
         }
         assert_eq!(steps, 2, "two decision points (the two CE events)");
-        assert_eq!(env.ue_count(), 2);
+        assert_eq!(env.session().account().ue_count(), 2);
         // First UE: 160 node-hours. Second UE at t=30h: the same job is still "running"
         // in the synthetic sequence, so it costs 16 * 30 = 480.
-        assert!((env.total_ue_cost() - (160.0 + 480.0)).abs() < 1e-9);
-        assert_eq!(env.ue_records().len(), 2);
+        assert!((env.session().account().total_ue_cost() - (160.0 + 480.0)).abs() < 1e-9);
+        assert_eq!(env.session().account().ue_records().len(), 2);
     }
 
     #[test]
@@ -390,7 +324,7 @@ mod tests {
         let _ = env.step(true);
         let _ = env.step(false);
         assert_eq!(
-            env.decisions(),
+            env.session().account().decisions(),
             &[
                 (SimTime::from_minutes(60), true),
                 (SimTime::from_minutes(120), false)

@@ -13,11 +13,13 @@
 //!   variation over 1 minute and 1 hour.
 //! * [`event_stream`] — per-node timelines of per-minute merged events, the episode
 //!   substrate for training and evaluation.
-//! * [`session_core`] — the shared per-node accounting core (cost reference point,
-//!   mitigation/UE counters and logs, record-retention knob) that both the pull-mode
-//!   environment and the push-mode serving session wrap.
-//! * [`env`] — the environment: it walks a node's timeline, assigns jobs from the job
-//!   sampler, queries a policy at every event, applies mitigations and pays UE costs.
+//! * [`session_core`] — the per-node session, the one state machine of the MDP: it
+//!   absorbs a node's events, emits a decision request at every non-fatal one, applies
+//!   mitigations and pays UE costs (cost reference point, mitigation/UE counters and
+//!   logs, record-retention knob, shadow cost lanes). Training, evaluation and serving
+//!   all push events through it.
+//! * [`env`] — the environment: a cursor that walks a node's timeline through a session
+//!   and turns its cost delta into the Equation 4 reward of each step.
 //! * [`policy`] / [`policies`] — the mitigation-policy interface and the eight policies
 //!   evaluated in the paper (Never, Always, SC20-RF with optimal and perturbed
 //!   thresholds, Myopic-RF, the RL agent and the Oracle).
@@ -48,6 +50,6 @@ pub use policies::{
     AlwaysMitigate, MyopicRfPolicy, NeverMitigate, OraclePolicy, RlPolicy, ThresholdRfPolicy,
 };
 pub use policy::MitigationPolicy;
-pub use session_core::{RecordRetention, SessionCore, UeRecord};
+pub use session_core::{NodeSession, Observed, RecordRetention, UeRecord};
 pub use state::{StateFeatures, STATE_DIM};
 pub use trainer::{RlTrainer, TrainerConfig, TrainingOutcome};

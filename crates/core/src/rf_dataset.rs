@@ -6,9 +6,11 @@
 //! follows on this node within the prediction window" (one day, as in the original SC'20
 //! study).
 
+use crate::config::MitigationConfig;
 use crate::event_stream::TimelineSet;
-use crate::features::FeatureExtractor;
+use crate::session_core::{NodeSession, Observed, RecordRetention};
 use uerl_forest::Dataset;
+use uerl_jobs::schedule::JobSequence;
 use uerl_trace::types::{NodeId, SimTime};
 
 /// Metadata for one sample of the RF dataset: which node/event it came from.
@@ -38,17 +40,22 @@ pub fn build_rf_dataset(
             .filter(|e| e.fatal)
             .map(|e| e.time)
             .collect();
-        let mut extractor = FeatureExtractor::new(timeline.node(), timeline.window_start());
+        // Workload-blind: a session with no jobs sees a potential UE cost of zero.
+        let mut session = NodeSession::with_jobs(
+            timeline.node(),
+            timeline.window_start(),
+            JobSequence::from_jobs(Vec::new()),
+            MitigationConfig::paper_default(),
+            RecordRetention::TotalsOnly,
+        );
         for event in timeline.events() {
-            extractor.update(event);
-            if event.fatal {
+            let Observed::Request(state) = session.observe(event) else {
                 continue;
-            }
+            };
             let label = fatal_times
                 .iter()
                 .any(|&t| t > event.time && t.delta_secs(event.time) <= prediction_window);
-            let features = extractor.snapshot(0.0, 1).to_error_vector();
-            dataset.push(features, label);
+            dataset.push(state.to_error_vector(), label);
             origins.push(SampleOrigin {
                 node: timeline.node(),
                 time: event.time,

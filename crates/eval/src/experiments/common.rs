@@ -8,10 +8,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
-use uerl_core::env::MitigationEnv;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policies::{RlPolicy, ThresholdRfPolicy};
 use uerl_core::rf_dataset::build_rf_dataset_1day;
+use uerl_core::session_core::{NodeSession, Observed, RecordRetention};
 use uerl_core::state::{StateFeatures, STATE_DIM};
 use uerl_core::MitigationConfig;
 use uerl_forest::{RandomForest, RandomForestConfig};
@@ -197,9 +197,11 @@ pub fn holdout(ctx: &ExperimentContext, models: &TrainedModels) -> TimelineSet {
         .slice(models.train_end, ctx.timelines.window_end())
 }
 
-/// Replay the held-out timelines without mitigating and collect every observed state.
-/// The per-node replays are independent (seeded by node id only), so they fan out over
-/// rayon; results are flattened in timeline order.
+/// Replay the held-out timelines without mitigating and collect every observed state —
+/// exactly the states `run_policy(&NeverMitigate, ..)` shows its policy, because each
+/// timeline is pushed through the same [`NodeSession`] with the same workload seed.
+/// The per-node replays are independent, so they fan out over rayon; results are
+/// flattened in timeline order.
 pub fn collect_states(
     timelines: &TimelineSet,
     sampler: &NodeJobSampler,
@@ -210,15 +212,22 @@ pub fn collect_states(
         .timelines()
         .par_iter()
         .map(|timeline| {
+            let mut session = NodeSession::new(
+                timeline.node(),
+                timeline.window_start(),
+                timeline.window_end(),
+                config,
+                seed,
+                sampler,
+                RecordRetention::TotalsOnly,
+                0,
+            );
             let mut states = Vec::new();
-            let mut rng = StdRng::seed_from_u64(seed ^ u64::from(timeline.node().0));
-            let sequence =
-                sampler.sample_sequence(timeline.window_start(), timeline.window_end(), &mut rng);
-            let mut env = MitigationEnv::new(timeline.clone(), sequence, config, false);
-            let mut state = env.reset();
-            while let Some(s) = state {
-                states.push(s.clone());
-                state = env.step(false).next_state;
+            for event in timeline.events() {
+                if let Observed::Request(state) = session.observe(event) {
+                    session.apply_decision(state.time, false);
+                    states.push(state);
+                }
             }
             states
         })
@@ -238,7 +247,43 @@ pub fn holdout_cost(ctx: &ExperimentContext, models: &TrainedModels) -> f64 {
 mod tests {
     use super::*;
     use crate::scenario::EvalBudget;
+    use uerl_core::policies::NeverMitigate;
     use uerl_core::policy::MitigationPolicy;
+
+    /// Never-mitigate, recording every state it is asked to decide on.
+    struct RecordingNever(Mutex<Vec<StateFeatures>>);
+
+    impl MitigationPolicy for RecordingNever {
+        fn name(&self) -> &str {
+            "recording-never"
+        }
+        fn decide(&self, state: &StateFeatures) -> bool {
+            self.0.lock().unwrap().push(state.clone());
+            NeverMitigate.decide(state)
+        }
+    }
+
+    #[test]
+    fn collected_states_are_exactly_what_never_mitigate_is_shown() {
+        let ctx = ExperimentContext::synthetic_small(20, 60, EvalBudget::tiny(), 64);
+        let sampler = ctx.job_sampler(1.0);
+        let recorder = RecordingNever(Mutex::new(Vec::new()));
+        run_policy(
+            &recorder,
+            &ctx.timelines,
+            &sampler,
+            ctx.mitigation,
+            ctx.seed,
+        );
+        // Nodes roll out in parallel, each in event order: a stable sort by node
+        // restores timeline order.
+        let mut seen = recorder.0.into_inner().unwrap();
+        seen.sort_by_key(|s| s.node.0);
+        let mut collected = collect_states(&ctx.timelines, &sampler, ctx.mitigation, ctx.seed);
+        collected.sort_by_key(|s| s.node.0);
+        assert!(collected.iter().any(|s| s.potential_ue_cost > 0.0));
+        assert_eq!(collected, seen);
+    }
 
     #[test]
     fn prefix_training_and_state_collection_work_together() {

@@ -9,15 +9,13 @@
 //! fans the timelines out over rayon and merges the per-node results in timeline order —
 //! the outcome is bit-identical at any thread count.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use uerl_core::env::MitigationEnv;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policy::MitigationPolicy;
+use uerl_core::session_core::{NodeSession, Observed, RecordRetention};
 use uerl_core::MitigationConfig;
-use uerl_jobs::schedule::{node_workload_seed, NodeJobSampler};
+use uerl_jobs::schedule::NodeJobSampler;
 use uerl_trace::types::{NodeId, SimTime};
 
 /// One recorded mitigation / no-mitigation decision.
@@ -102,9 +100,11 @@ impl PolicyRun {
     }
 }
 
-/// Evaluate a policy over every timeline in `timelines`, fanning the per-node rollouts
-/// out over rayon. Results are merged in timeline order, so the run is bit-identical at
-/// any thread count.
+/// Evaluate a policy over every timeline in `timelines`: each timeline's events are
+/// pushed through a [`NodeSession`] — the same state machine the serving fleet runs —
+/// and every decision request is answered by `policy`. The per-node rollouts fan out
+/// over rayon and are merged in timeline order, so the run is bit-identical at any
+/// thread count.
 ///
 /// The policy's `training_cost_node_hours` is added to the mitigation cost once, as in
 /// the paper's accounting ("the total cost of the mitigation actions plus ... the cost of
@@ -123,37 +123,49 @@ pub fn run_policy<P: MitigationPolicy + Sync + ?Sized>(
         .timelines()
         .par_iter()
         .map(|timeline| {
-            let mut partial = PolicyRun::empty(run.policy.clone());
-            let mut rng = StdRng::seed_from_u64(node_workload_seed(seed, timeline.node()));
-            let sequence =
-                jobs.sample_sequence(timeline.window_start(), timeline.window_end(), &mut rng);
-            let mut env = MitigationEnv::new(timeline.clone(), sequence, config, false);
-            let mut state = env.reset();
-            while let Some(s) = state {
-                let mitigate = policy.decide(&s);
-                let outcome = env.step(mitigate);
-                state = outcome.next_state;
+            let node = timeline.node();
+            let mut session = NodeSession::new(
+                node,
+                timeline.window_start(),
+                timeline.window_end(),
+                config,
+                seed,
+                jobs,
+                RecordRetention::Full,
+                0,
+            );
+            for event in timeline.events() {
+                if let Observed::Request(state) = session.observe(event) {
+                    session.apply_decision(state.time, policy.decide(&state));
+                }
             }
-            partial.mitigations = env.mitigation_count();
-            partial.non_mitigations = env.non_mitigation_count();
-            partial.mitigation_cost = env.total_mitigation_cost();
-            partial.ue_count = env.ue_count();
-            partial.ue_cost = env.total_ue_cost();
-            partial
-                .decisions
-                .extend(env.decisions().iter().map(|&(time, mitigated)| Decision {
-                    node: timeline.node(),
-                    time,
-                    mitigated,
-                }));
-            partial
-                .ue_events
-                .extend(env.ue_records().iter().map(|r| UeEvent {
-                    node: timeline.node(),
-                    time: r.time,
-                    cost: r.cost,
-                }));
-            partial
+            let account = session.account();
+            PolicyRun {
+                policy: run.policy.clone(),
+                mitigations: account.mitigation_count(),
+                non_mitigations: account.non_mitigation_count(),
+                mitigation_cost: account.total_mitigation_cost(),
+                ue_count: account.ue_count(),
+                ue_cost: account.total_ue_cost(),
+                decisions: account
+                    .decisions()
+                    .iter()
+                    .map(|&(time, mitigated)| Decision {
+                        node,
+                        time,
+                        mitigated,
+                    })
+                    .collect(),
+                ue_events: account
+                    .ue_records()
+                    .iter()
+                    .map(|r| UeEvent {
+                        node,
+                        time: r.time,
+                        cost: r.cost,
+                    })
+                    .collect(),
+            }
         })
         .collect();
 

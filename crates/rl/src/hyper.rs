@@ -431,20 +431,6 @@ impl HyperSearch {
             rungs,
         }
     }
-
-    /// Run the search with a score-only closure (higher is better) and return the best
-    /// hyperparameters together with their score. Convenience wrapper over
-    /// [`HyperSearch::run_parallel`] with no artifact and no cost accounting.
-    ///
-    /// The search is deterministic given `rng` and a deterministic scoring closure.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        score: impl Fn(&HyperParams) -> f64 + Sync,
-    ) -> (HyperParams, f64) {
-        let outcome = self.run_parallel(rng, |params, _seed| ((), score(params), 0.0));
-        (outcome.best_params, outcome.best_score)
-    }
 }
 
 /// Evaluate one pre-drawn round as a plain indexed fan-out over the work-stealing pool
@@ -748,9 +734,11 @@ mod tests {
         // Score favours a learning rate near 3e-3 and gamma near 0.99.
         let mut rng = StdRng::seed_from_u64(3);
         let search = HyperSearch::reduced(40, 20);
-        let (best, score) = search.run(&mut rng, |h| {
-            -((h.learning_rate.log10() - (-2.5)).powi(2)) - (h.gamma - 0.99).powi(2)
+        let outcome = search.run_parallel(&mut rng, |h, _| {
+            let score = -((h.learning_rate.log10() - (-2.5)).powi(2)) - (h.gamma - 0.99).powi(2);
+            ((), score, 0.0)
         });
+        let (best, score) = (outcome.best_params, outcome.best_score);
         assert!(score > -0.3, "score {score}");
         assert!(
             best.learning_rate > 1e-3 && best.learning_rate < 1e-2,
@@ -763,8 +751,8 @@ mod tests {
     fn search_with_zero_refined_round_still_works() {
         let mut rng = StdRng::seed_from_u64(4);
         let search = HyperSearch::reduced(5, 0);
-        let (_, score) = search.run(&mut rng, |h| h.gamma);
-        assert!(score >= 0.9);
+        let outcome = search.run_parallel(&mut rng, |h, _| ((), h.gamma, 0.0));
+        assert!(outcome.best_score >= 0.9);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! event-time stream of an entire fleet's DRAM error events and answers, at every
 //! non-fatal event, whether to mitigate.
 //!
-//! * [`session`] — per-node serving sessions: the push-mode mirror of the evaluation
-//!   environment, keeping each node's incremental feature state, job assignment,
-//!   mitigation reference point and cost accounting.
-//! * [`server`] — the [`FleetServer`]: event-time ticks, sharded per-node state,
+//! * [`server`] — the [`FleetServer`]: event-time ticks, sharded per-node state (one
+//!   [`NodeSession`] per live node — the same state machine the offline environment
+//!   and evaluator push their timelines through, re-exported here from `uerl_core`),
 //!   node-id-ordered **micro-batched inference** (a tick's decision requests are
 //!   stacked into one batched forward pass through
 //!   [`uerl_core::policy::MitigationPolicy::decide_batch`]), and the out-of-order
@@ -23,7 +22,8 @@
 //! The subsystem carries the repository's determinism contract: served decisions and
 //! accumulated mitigation/UE cost are **bit-identical** to the offline evaluator's
 //! `run_policy` rollout of the same timelines — at any micro-batch size, shard count,
-//! thread count and record-retention mode. The serving-parity test suite and the
+//! thread count and record-retention mode. Both run the same `NodeSession` calls in
+//! the same per-node event order; the server adds only node-id-ordered reductions. The serving-parity test suite and the
 //! `serve_throughput` stage of `perf_report` pin this.
 //!
 //! Sessions are bounded: the feature history is an O(window) ring buffer and, under
@@ -32,12 +32,10 @@
 
 pub mod metrics;
 pub mod server;
-pub mod session;
 
 pub use metrics::{serve_metrics, ServeMetrics};
 pub use server::{
     merged_fleet_stream, FleetServer, NodeServeReport, OutOfOrderEvent, ServeConfig, ServeReport,
     ServedDecision, ShadowPolicy, ShadowScore,
 };
-pub use session::{NodeSession, Observed};
-pub use uerl_core::session_core::RecordRetention;
+pub use uerl_core::session_core::{NodeSession, Observed, RecordRetention};

@@ -23,15 +23,13 @@
 //! size, shard count and thread count. The serving-parity suite pins this.
 
 use crate::metrics::{serve_metrics, shadow_cost_gauge};
-use crate::session::{NodeSession, Observed};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use uerl_core::config::MitigationConfig;
-use uerl_core::env::UeRecord;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policies::{QuantMode, RlPolicy};
 use uerl_core::policy::MitigationPolicy;
-use uerl_core::session_core::RecordRetention;
+use uerl_core::session_core::{NodeSession, Observed, RecordRetention, UeRecord};
 use uerl_core::state::StateFeatures;
 use uerl_jobs::schedule::NodeJobSampler;
 use uerl_obs::Gauge;
@@ -657,25 +655,12 @@ impl<P: MitigationPolicy> FleetServer<P> {
         round: &mut Vec<(NodeId, MergedEvent)>,
     ) -> (Vec<NodeId>, Vec<StateFeatures>, Vec<FatalCost>) {
         if round.len() < PARALLEL_TICK_THRESHOLD || self.config.shards == 1 {
-            let mut nodes = Vec::new();
-            let mut states = Vec::new();
+            let mut requests = Vec::new();
             let mut fatals = Vec::new();
             for (node, event) in round.drain(..) {
-                match self.session_mut(node).observe(&event) {
-                    Observed::Request(state) => {
-                        nodes.push(node);
-                        states.push(state);
-                    }
-                    Observed::Fatal {
-                        ue_cost,
-                        shadow_ue_costs,
-                    } => fatals.push(FatalCost {
-                        node,
-                        ue_cost,
-                        shadow_ue_costs,
-                    }),
-                }
+                absorb(self.session_mut(node), &event, &mut requests, &mut fatals);
             }
+            let (nodes, states) = requests.into_iter().unzip();
             return (nodes, states, fatals);
         }
 
@@ -696,29 +681,8 @@ impl<P: MitigationPolicy> FleetServer<P> {
             let mut requests = Vec::new();
             let mut fatals = Vec::new();
             for (node, event) in events {
-                let session = shard.entry(node).or_insert_with(|| {
-                    NodeSession::new(
-                        node,
-                        config.window_start,
-                        config.window_end,
-                        config.mitigation,
-                        config.seed,
-                        sampler,
-                        config.retention,
-                        shadow_lanes,
-                    )
-                });
-                match session.observe(&event) {
-                    Observed::Request(state) => requests.push((node, state)),
-                    Observed::Fatal {
-                        ue_cost,
-                        shadow_ue_costs,
-                    } => fatals.push(FatalCost {
-                        node,
-                        ue_cost,
-                        shadow_ue_costs,
-                    }),
-                }
+                let session = open_session(&mut shard, node, config, sampler, shadow_lanes);
+                absorb(session, &event, &mut requests, &mut fatals);
             }
             (shard, requests, fatals)
         });
@@ -744,21 +708,13 @@ impl<P: MitigationPolicy> FleetServer<P> {
 
     fn session_mut(&mut self, node: NodeId) -> &mut NodeSession {
         let shard = shard_index(node, self.shards.len());
-        let config = &self.config;
-        let sampler = &self.sampler;
-        let shadow_lanes = self.shadow_policies.len();
-        self.shards[shard].entry(node).or_insert_with(|| {
-            NodeSession::new(
-                node,
-                config.window_start,
-                config.window_end,
-                config.mitigation,
-                config.seed,
-                sampler,
-                config.retention,
-                shadow_lanes,
-            )
-        })
+        open_session(
+            &mut self.shards[shard],
+            node,
+            &self.config,
+            &self.sampler,
+            self.shadow_policies.len(),
+        )
     }
 
     /// The session of a node, if it has received events.
@@ -800,21 +756,21 @@ impl<P: MitigationPolicy> FleetServer<P> {
             per_node: Vec::with_capacity(sessions.len()),
         };
         for session in sessions {
-            let non_mitigations = session.non_mitigation_count();
-            report.mitigations += session.mitigation_count();
-            report.non_mitigations += non_mitigations;
-            report.mitigation_cost += session.total_mitigation_cost();
-            report.ue_count += session.ue_count();
-            report.ue_cost += session.total_ue_cost();
+            let account = session.account();
+            report.mitigations += account.mitigation_count();
+            report.non_mitigations += account.non_mitigation_count();
+            report.mitigation_cost += account.total_mitigation_cost();
+            report.ue_count += account.ue_count();
+            report.ue_cost += account.total_ue_cost();
             report.per_node.push(NodeServeReport {
                 node: session.node(),
-                mitigations: session.mitigation_count(),
-                non_mitigations,
-                mitigation_cost: session.total_mitigation_cost(),
-                ue_count: session.ue_count(),
-                ue_cost: session.total_ue_cost(),
-                decisions: session.decisions().to_vec(),
-                ue_records: session.ue_records().to_vec(),
+                mitigations: account.mitigation_count(),
+                non_mitigations: account.non_mitigation_count(),
+                mitigation_cost: account.total_mitigation_cost(),
+                ue_count: account.ue_count(),
+                ue_cost: account.total_ue_cost(),
+                decisions: account.decisions().to_vec(),
+                ue_records: account.ue_records().to_vec(),
             });
         }
         report
@@ -856,6 +812,50 @@ impl<P: MitigationPolicy> FleetServer<P> {
                 score
             })
             .collect()
+    }
+}
+
+/// The session of `node` in its shard, created on the node's first event.
+fn open_session<'s>(
+    shard: &'s mut Shard,
+    node: NodeId,
+    config: &ServeConfig,
+    sampler: &NodeJobSampler,
+    shadow_lanes: usize,
+) -> &'s mut NodeSession {
+    shard.entry(node).or_insert_with(|| {
+        NodeSession::new(
+            node,
+            config.window_start,
+            config.window_end,
+            config.mitigation,
+            config.seed,
+            sampler,
+            config.retention,
+            shadow_lanes,
+        )
+    })
+}
+
+/// Absorb one event into its node's session: a decision request joins `requests`, a
+/// fatal event's costs join `fatals`.
+fn absorb(
+    session: &mut NodeSession,
+    event: &MergedEvent,
+    requests: &mut Vec<(NodeId, StateFeatures)>,
+    fatals: &mut Vec<FatalCost>,
+) {
+    let node = session.node();
+    match session.observe(event) {
+        Observed::Request(state) => requests.push((node, state)),
+        Observed::Fatal {
+            ue_cost,
+            shadow_ue_costs,
+        } => fatals.push(FatalCost {
+            node,
+            ue_cost,
+            shadow_ue_costs,
+        }),
     }
 }
 
@@ -992,9 +992,9 @@ mod tests {
             .ingest_all([event(3, 10, false), event(3, 10, false)], &mut out)
             .unwrap();
         assert_eq!(out.len(), 2);
-        let session = server.session(NodeId(3)).unwrap();
-        assert_eq!(session.mitigation_count(), 2);
-        assert_eq!(session.decisions().len(), 2);
+        let account = server.session(NodeId(3)).unwrap().account();
+        assert_eq!(account.mitigation_count(), 2);
+        assert_eq!(account.decisions().len(), 2);
     }
 
     #[test]

@@ -67,6 +67,9 @@ fn an_open_gate_counts_the_served_stream_exactly() {
     let _guard = lock_gate();
     let (timelines, sampler) = fixture();
     set_enabled(true);
+    // Register the serve instruments before the `before` snapshot, so every counter
+    // this test diffs exists in both snapshots whatever test ran first.
+    uerl::serve::serve_metrics();
     let before = registry().snapshot();
     let report = serve_fixture(&timelines, &sampler, Vec::new());
     let after = registry().snapshot();
@@ -141,6 +144,8 @@ fn event_time_metrics_are_bit_identical_across_thread_counts() {
         || -> Vec<ShadowPolicy> { vec![Arc::new(NeverMitigate), Arc::new(AlwaysMitigate)] };
 
     set_enabled(true);
+    // As above: the diffed counters must exist in the first `before` snapshot.
+    uerl::serve::serve_metrics();
     let mut runs = Vec::new();
     for threads in [1, 4] {
         let pool = rayon::ThreadPoolBuilder::new()

@@ -108,8 +108,9 @@ fn two_year_session_stays_bounded_and_bit_identical_to_offline() {
     let events = soak_stream();
     assert!(events.len() > 140_000, "the soak must be a long stream");
 
-    // Offline reference: the pull-mode environment over the identical timeline,
-    // workload and decision rule (full retention, no termination on fatals).
+    // Offline reference: the environment's timeline cursor (which pulls the same
+    // session through reset/step) over the identical timeline, workload and decision
+    // rule (full retention, no termination on fatals).
     let sampler = sampler();
     let mut rng = StdRng::seed_from_u64(node_workload_seed(SEED, NODE));
     let sequence = sampler.sample_sequence(SimTime::ZERO, SimTime::from_days(SOAK_DAYS), &mut rng);
@@ -125,9 +126,13 @@ fn two_year_session_stays_bounded_and_bit_identical_to_offline() {
         let outcome = env.step(rule(&s));
         state = outcome.next_state;
     }
-    assert!(env.ue_count() > 10, "the soak must contain fatal events");
+    let offline = env.session().account();
     assert!(
-        env.mitigation_count() > 0 && env.non_mitigation_count() > 0,
+        offline.ue_count() > 10,
+        "the soak must contain fatal events"
+    );
+    assert!(
+        offline.mitigation_count() > 0 && offline.non_mitigation_count() > 0,
         "the soak must exercise both decision branches"
     );
 
@@ -136,22 +141,26 @@ fn two_year_session_stays_bounded_and_bit_identical_to_offline() {
         max_history <= HISTORY_BOUND,
         "peak history {max_history} exceeds the window bound {HISTORY_BOUND}"
     );
-    assert_eq!(session.decision_count(), env.decision_count());
-    assert_eq!(session.mitigation_count(), env.mitigation_count());
-    assert_eq!(session.non_mitigation_count(), env.non_mitigation_count());
-    assert_eq!(session.ue_count(), env.ue_count());
+    let served = session.account();
+    assert_eq!(served.decision_count(), offline.decision_count());
+    assert_eq!(served.mitigation_count(), offline.mitigation_count());
     assert_eq!(
-        session.total_mitigation_cost().to_bits(),
-        env.total_mitigation_cost().to_bits(),
+        served.non_mitigation_count(),
+        offline.non_mitigation_count()
+    );
+    assert_eq!(served.ue_count(), offline.ue_count());
+    assert_eq!(
+        served.total_mitigation_cost().to_bits(),
+        offline.total_mitigation_cost().to_bits(),
         "two-year mitigation cost diverged from the offline rollout"
     );
     assert_eq!(
-        session.total_ue_cost().to_bits(),
-        env.total_ue_cost().to_bits(),
+        served.total_ue_cost().to_bits(),
+        offline.total_ue_cost().to_bits(),
         "two-year UE cost diverged from the offline rollout"
     );
-    assert_eq!(session.decisions(), env.decisions());
-    assert_eq!(session.ue_records(), env.ue_records());
+    assert_eq!(served.decisions(), offline.decisions());
+    assert_eq!(served.ue_records(), offline.ue_records());
 }
 
 #[test]
@@ -197,11 +206,12 @@ fn totals_only_soak_footprint_stops_growing_after_warmup() {
         warm_history <= HISTORY_BOUND,
         "mid-stream history {warm_history} already exceeded the bound"
     );
+    let account = session.account();
     assert!(
-        session.decisions().is_empty() && session.ue_records().is_empty(),
+        account.decisions().is_empty() && account.ue_records().is_empty(),
         "totals-only must keep no per-event logs"
     );
-    assert!(session.decision_count() > 100_000);
+    assert!(account.decision_count() > 100_000);
     // The footprint is dominated by the two-year job schedule, which is sampled up
     // front and never grows (~85 KB here); the ring buffer and location sets are a
     // few KB. The bound guards against any per-event accumulation creeping back in.

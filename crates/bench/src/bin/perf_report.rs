@@ -6,7 +6,8 @@
 //! run once through the successive-halving driver and once exhaustively, with the
 //! survivor trace in the fingerprint), a `matmul_kernels` microbench (the cache-blocked
 //! `Matrix` kernel family at serving- and training-shaped GEMMs, with the output bits
-//! in the fingerprint and GFLOP/s in the JSON), a `serve_throughput` stage (a scaled-up
+//! in the fingerprint and GFLOP/s, the batch-1 serving product's GFLOP/s and the
+//! dispatched kernel level in the JSON), a `serve_throughput` stage (a scaled-up
 //! synthetic fleet streamed through the online `uerl-serve` subsystem, with the
 //! serving-vs-offline parity verdict in the fingerprint) and a `quant_parity` stage
 //! (the same serving stream replayed decision-for-decision under the full-precision
@@ -76,6 +77,16 @@ use uerl_trace::reduction::preprocess;
 /// `quant_parity` metrics for the JSON summary:
 /// (decisions, matches, match rate, f64 total cost, i8 total cost, cost delta %).
 type QuantStats = (u64, u64, f64, f64, f64, f64);
+
+/// `matmul_kernels` GFLOP/s for the JSON summary: the three kernel families over the
+/// digest shapes, plus the batch-1 `1×256 · 256×256` serving product alone.
+#[derive(Clone, Copy)]
+struct KernelStats {
+    nn_gflops: f64,
+    tn_acc_gflops: f64,
+    nt_gflops: f64,
+    batch1_nn_gflops: f64,
+}
 
 struct StageReport {
     name: &'static str,
@@ -580,8 +591,9 @@ fn main() {
     // fingerprint is an FNV digest over the exact output bits — any change to a
     // kernel's reduction order shows up here before it shows up as a parity failure —
     // and the per-family GFLOP/s of the last run lands in `kernel_stats` for the JSON
-    // summary (wall time stays out of the fingerprint).
-    let kernel_stats: Arc<Mutex<Option<(f64, f64, f64)>>> = Arc::new(Mutex::new(None));
+    // summary (wall time stays out of the fingerprint), next to the batch-1 serving
+    // product's GFLOP/s and the kernel level the host dispatched to.
+    let kernel_stats: Arc<Mutex<Option<KernelStats>>> = Arc::new(Mutex::new(None));
     let matmul_stage = {
         let stats = Arc::clone(&kernel_stats);
         move || -> String {
@@ -640,7 +652,24 @@ fn main() {
                 }
             }
             let gflops = |i: usize| flops[i] / secs[i].max(1e-12) / 1e9;
-            *stats.lock().expect("kernel stats poisoned") = Some((gflops(0), gflops(1), gflops(2)));
+            // Batch-1 serving: one state through the paper trunk's 256×256 layer. Timed
+            // apart from the digest shapes so the fingerprint stays comparable.
+            let (row, weights) = (fill(1, 256, 21), fill(256, 256, 22));
+            let mut out = Matrix::zeros(1, 256);
+            let batch1_reps = 2_000;
+            let t0 = Instant::now();
+            for _ in 0..batch1_reps {
+                row.matmul_into(&weights, &mut out);
+                std::hint::black_box(&out);
+            }
+            let batch1_gflops =
+                (2 * 256 * 256 * batch1_reps) as f64 / t0.elapsed().as_secs_f64().max(1e-12) / 1e9;
+            *stats.lock().expect("kernel stats poisoned") = Some(KernelStats {
+                nn_gflops: gflops(0),
+                tn_acc_gflops: gflops(1),
+                nt_gflops: gflops(2),
+                batch1_nn_gflops: batch1_gflops,
+            });
             format!("shapes={} reps={reps} digest={digest:016x}", shapes.len())
         }
     };
@@ -893,9 +922,14 @@ fn main() {
             "  \"serve_throughput\": {{\"events\": {events}, \"events_per_sec\": {events_per_sec:.1}, \"parity_with_offline_evaluator\": {parity}}},\n"
         ));
     }
-    if let Some((nn, tn, nt)) = kernels {
+    if let Some(k) = kernels {
         json.push_str(&format!(
-            "  \"matmul_kernels\": {{\"nn_gflops\": {nn:.3}, \"tn_acc_gflops\": {tn:.3}, \"nt_gflops\": {nt:.3}}},\n"
+            "  \"matmul_kernels\": {{\"kernel_level\": \"{}\", \"nn_gflops\": {:.3}, \"tn_acc_gflops\": {:.3}, \"nt_gflops\": {:.3}, \"batch1_nn_1x256x256_gflops\": {:.3}}},\n",
+            uerl_nn::kernel_level(),
+            k.nn_gflops,
+            k.tn_acc_gflops,
+            k.nt_gflops,
+            k.batch1_nn_gflops,
         ));
     }
     if let Some((decisions, matches, rate, full_cost, i8_cost, delta_pct)) = quant {
@@ -957,8 +991,16 @@ fn main() {
              (parity with offline evaluator: {parity})"
         );
     }
-    if let Some((nn, tn, nt)) = kernels {
-        eprintln!("[perf_report] kernels: NN {nn:.2} / TN-acc {tn:.2} / NT {nt:.2} GFLOP/s");
+    if let Some(k) = kernels {
+        eprintln!(
+            "[perf_report] kernels ({}): NN {:.2} / TN-acc {:.2} / NT {:.2} GFLOP/s, \
+             batch-1 1x256·256x256 NN {:.2} GFLOP/s",
+            uerl_nn::kernel_level(),
+            k.nn_gflops,
+            k.tn_acc_gflops,
+            k.nt_gflops,
+            k.batch1_nn_gflops,
+        );
     }
     if let Some((decisions, matches, rate, _, _, delta_pct)) = quant {
         eprintln!(

@@ -8,6 +8,11 @@
 //! interleaved-lane tree for the NT kernel. Any future re-blocking of the kernels
 //! must keep these exact summation orders or the fleet's replay/serving parity
 //! guarantees break.
+//!
+//! The products dispatch to the widest kernel level the host supports, so the property
+//! tests here cover that level only; the in-crate `level_parity` tests in `matrix.rs`
+//! run every level. `kernel_outputs_match_the_golden_digest` pins the output bits
+//! themselves across commits and machines.
 
 use proptest::prelude::*;
 use uerl_nn::Matrix;
@@ -78,7 +83,7 @@ proptest! {
 
     #[test]
     fn blocked_nn_matches_the_scalar_reference_bitwise(
-        dims in (1usize..20, 1usize..40, 1usize..24, 0u64..1_000_000),
+        dims in (1usize..20, 1usize..40, 1usize..140, 0u64..1_000_000),
     ) {
         let (m, k, n, seed) = dims;
         let a = fill(m, k, seed);
@@ -88,7 +93,7 @@ proptest! {
 
     #[test]
     fn blocked_tn_acc_matches_the_scalar_reference_bitwise(
-        dims in (1usize..32, 1usize..14, 1usize..24, 0u64..1_000_000),
+        dims in (1usize..32, 1usize..14, 1usize..140, 0u64..1_000_000),
     ) {
         // `a` is the left operand pre-transposed: (m×ja)ᵀ · (m×n) accumulated in place.
         let (m, ja, n, seed) = dims;
@@ -103,7 +108,7 @@ proptest! {
 
     #[test]
     fn blocked_nt_matches_the_lane_reference_bitwise(
-        dims in (1usize..20, 1usize..40, 1usize..20, 0u64..1_000_000),
+        dims in (1usize..20, 1usize..40, 1usize..140, 0u64..1_000_000),
     ) {
         let (m, k, n, seed) = dims;
         let a = fill(m, k, seed);
@@ -113,7 +118,7 @@ proptest! {
 
     #[test]
     fn batched_rows_match_single_row_products_bitwise(
-        dims in (2usize..16, 1usize..40, 1usize..24, 0u64..1_000_000),
+        dims in (2usize..16, 1usize..40, 1usize..140, 0u64..1_000_000),
     ) {
         // The serving invariant: row i of a batch-of-N product is bit-identical to the
         // batch-of-1 product of row i alone, for every kernel in the family.
@@ -142,4 +147,68 @@ proptest! {
         a.matmul_into(&b, &mut out);
         prop_assert_eq!(bits(&out), bits(&a.matmul(&b)));
     }
+}
+
+/// Operand values in [-2, 2) with full 52-bit mantissas, plus exact zeros, built from
+/// the bits of an integer LCG: every step is exact and none goes through libm, so the
+/// operands — and with them the digest below — are the same on every platform.
+fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let data = (0..rows * cols)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            if (state >> 33).is_multiple_of(11) {
+                0.0
+            } else {
+                // 52 random mantissa bits in [1, 2), moved exactly to [-2, 2): products
+                // round, so a reassociated sum changes bits.
+                (f64::from_bits(0x3ff0_0000_0000_0000 | (state >> 12)) - 1.5) * 4.0
+            }
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// FNV-1a over the output bits of the NN, TN-acc and NT products on the paper
+/// Q-network's shapes plus ragged ones, pinned from the commit before the kernels
+/// were dispatched by CPU level. A kernel that reassociates any sum, on any host at
+/// any level, changes it.
+const GOLDEN_KERNEL_DIGEST: u64 = 0xb24b_e58d_7456_4512;
+
+#[test]
+fn kernel_outputs_match_the_golden_digest() {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut absorb = |m: &Matrix| {
+        for v in m.data() {
+            for byte in v.to_bits().to_le_bytes() {
+                digest ^= u64::from(byte);
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    };
+    let shapes = [
+        (1, 15, 256),
+        (1, 256, 256),
+        (1, 256, 128),
+        (1, 128, 64),
+        (64, 256, 256),
+        (13, 37, 19),
+        (5, 9, 71),
+        (7, 65, 130),
+    ];
+    for (s, &(m, k, n)) in (0u64..).zip(&shapes) {
+        let a = lcg_matrix(m, k, 10 * s + 1);
+        absorb(&a.matmul(&lcg_matrix(k, n, 10 * s + 2)));
+        // (k×m)ᵀ · (k×n) accumulated into an m×n buffer that starts non-zero.
+        let mut acc = lcg_matrix(m, n, 10 * s + 3);
+        lcg_matrix(k, m, 10 * s + 4).matmul_tn_acc(&lcg_matrix(k, n, 10 * s + 5), &mut acc);
+        absorb(&acc);
+        absorb(&a.matmul_nt(&lcg_matrix(n, k, 10 * s + 6)));
+    }
+    assert_eq!(
+        digest, GOLDEN_KERNEL_DIGEST,
+        "kernel output digest {digest:#018x} differs from the pinned one"
+    );
 }
